@@ -76,9 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "with the constant term first")
         p.add_argument("--seed", type=int, default=7,
                        help="seed for the negative controls")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallelism hint (recorded; suites run "
-                            "sequentially at these object scales)")
         p.add_argument("--out", default=None, help="write the report here")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="report format (csv applies to census tables)")
@@ -118,7 +115,6 @@ def _base_report(args, field) -> dict:
     config = {
         "q": args.q,
         "seed": args.seed,
-        "threads": args.threads,
         "format": args.format,
     }
     if getattr(args, "norm_class", None) is not None:

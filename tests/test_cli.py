@@ -45,20 +45,6 @@ def test_hexagon_reports_are_reproducible(tmp_path, capsys):
     assert without_timings(load(a)) == without_timings(load(b))
 
 
-def test_hexagon_reports_ignore_thread_hint(tmp_path, capsys):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["hexagon", "--q", "2", "--threads", "1",
-                 "--out", str(a)]) == EXIT_PASS
-    assert main(["hexagon", "--q", "2", "--threads", "8",
-                 "--out", str(b)]) == EXIT_PASS
-    capsys.readouterr()
-    ra, rb = without_timings(load(a)), without_timings(load(b))
-    assert ra["config"]["threads"] == 1 and rb["config"]["threads"] == 8
-    ra["config"].pop("threads")
-    rb["config"].pop("threads")
-    assert ra == rb
-
-
 def test_hexagon_corrupt_seed_fails_with_witness(tmp_path, capsys):
     out = tmp_path / "corrupt.json"
     code = main(["hexagon", "--q", "2", "--class", "0",
