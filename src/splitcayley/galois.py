@@ -15,6 +15,7 @@ both land in the subfield.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -93,8 +94,37 @@ def _is_irreducible(modulus, p) -> bool:
     return True
 
 
+class Record:
+    """Mixin giving a dataclass its JSON-ready `to_dict`.
+
+    The dict holds every dataclass field and then every `@property` of the
+    class, under its attribute name or under the key `json_names` maps it
+    to.  Nested records become dicts, tuples become lists and dict keys
+    become strings, so `json.dumps` of the result is the report format.
+    """
+
+    json_names = {}
+
+    def to_dict(self) -> dict:
+        names = [f.name for f in dataclasses.fields(self)]
+        names += [name for name, attr in vars(type(self)).items()
+                  if isinstance(attr, property)]
+        return {self.json_names.get(name, name): _plain(getattr(self, name))
+                for name in names}
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """Descriptor of GF(p^degree): characteristic, modulus, primitive element.
 
     ``degree`` is the full extension degree 2e over the prime field, so the
@@ -106,14 +136,6 @@ class FieldSpec:
     degree: int
     modulus: tuple[int, ...]
     primitive: int
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "degree": self.degree,
-            "modulus": list(self.modulus),
-            "primitive": self.primitive,
-        }
 
 
 class QuadraticField:
@@ -266,6 +288,14 @@ class QuadraticField:
     def trace(self, x):
         """Relative trace x -> x + x^q, valued in the subfield."""
         return self._trace[x]
+
+    def herm(self, x, y):
+        """The Hermitian form <x, y> = sum x_i * y_i^q, vectors of any length."""
+        add, mul, frob = self._add, self.mul, self._frob
+        acc = 0
+        for a, b in zip(x, y):
+            acc = add[acc][mul(a, frob[b])]
+        return acc
 
     def in_subfield(self, x) -> bool:
         return self._frob[x] == x

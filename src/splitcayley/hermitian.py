@@ -74,15 +74,6 @@ class BaerSubgenerator:
     def has_curve_point(self) -> bool:
         return self.o_pid is not None
 
-    def to_record(self, surface) -> dict:
-        return {
-            "q": surface.q,
-            "host_generator": [list(r) for r in surface.generators[self.host].basis],
-            "points": [list(p) for p in self.points],
-            "o_point_index": None if self.o_pid is None
-            else self.points.index(surface.points[self.o_pid]),
-        }
-
 
 @dataclass(frozen=True)
 class BaerSubplane:
@@ -108,15 +99,8 @@ class HermitianSurface:
         self.q = field.q
         q = self.q
 
-        f = field
-        self.points = []
-        for p in enumerate_points(f, 3):
-            acc = 0
-            for c in p:
-                acc = f.add(acc, f.norm(c))
-            if acc == 0:
-                self.points.append(p)
-        self.points = tuple(self.points)
+        self.points = tuple(p for p in enumerate_points(field, 3)
+                            if field.herm(p, p) == 0)
         self.point_id = {p: i for i, p in enumerate(self.points)}
         assert len(self.points) == (q * q + 1) * (q ** 3 + 1)
 
@@ -134,15 +118,9 @@ class HermitianSurface:
         gens_by_point = [[] for _ in self.points]
         for o_pid in self.o_pids:
             x = self.points[o_pid]
-            dual = tuple(f.conj(c) for c in x)
             buckets = {}
             for pid, p in enumerate(self.points):
-                if pid == o_pid:
-                    continue
-                acc = 0
-                for a, b in zip(dual, p):
-                    acc = f.add(acc, f.mul(a, b))
-                if acc == 0:
+                if pid != o_pid and f.herm(p, x) == 0:
                     buckets.setdefault(rref(f, [x, p]), []).append(pid)
             assert len(buckets) == q + 1
             for basis in sorted(buckets):
@@ -159,30 +137,13 @@ class HermitianSurface:
         assert len(generators) == (q ** 3 + 1) * (q + 1)
         assert all(len(v) == q + 1 for v in self.gens_by_point)
 
-    # -- the form and elementary classification --------------------------
-
-    def herm(self, x, y):
-        """The sesquilinear form <x, y> = sum x_i * y_i^q."""
-        f = self.field
-        acc = 0
-        for a, b in zip(x, y):
-            acc = f.add(acc, f.mul(a, f.conj(b)))
-        return acc
-
-    def is_on_surface(self, point) -> bool:
-        return point in self.point_id
+    # -- polarity and elementary classification ---------------------------
 
     def polar(self, x):
         """The polar plane {Y : <x, Y> = 0} of a point, as an echelon basis."""
         f = self.field
         dual = tuple(f.conj(c) for c in x)
         return nullspace(f, [dual])
-
-    def polar_dual(self, x):
-        return tuple(self.field.conj(c) for c in x)
-
-    def line_points(self, basis):
-        return list(subspace_points(self.field, basis))
 
     def line_type(self, basis) -> str:
         """Classify a line of PG(3,q^2) by its surface intersection size."""
@@ -383,11 +344,7 @@ class HermitianSurface:
         vertex = normalize_point(f, self.points[b.o_pid][:3])
         left_null = nullspace(f, tuple(zip(*u)))  # {x : x U = 0}
         assert left_null == rref(f, [vertex])
-        canonical = min(
-            (tuple(f.mul(c, e) for row in u for e in row) for c in f.subfield if c),
-        )
-        u = tuple(tuple(canonical[3 * i + j] for j in range(3)) for i in range(3))
-        return DualBaerMatrix(u, vertex)
+        return DualBaerMatrix(self.canonical_dual_matrix(u), vertex)
 
     def canonical_dual_matrix(self, matrix) -> tuple:
         """Canonical GF(q)*-scale representative of a Hermitian matrix."""

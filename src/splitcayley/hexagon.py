@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 
+from .galois import Record
+
 
 @dataclass
 class IncidenceGeometry:
@@ -69,20 +71,6 @@ class IncidenceGeometry:
                     seen.add(pair)
         return True
 
-    def to_json_dict(self) -> dict:
-        def enc(key):
-            if isinstance(key, tuple):
-                return [enc(k) for k in key]
-            return key
-        return {
-            **self.meta,
-            "points": [{"id": i, "type": kind, "key": enc(key)}
-                       for i, (kind, key) in enumerate(self.points)],
-            "lines": [{"id": i, "type": kind, "key": enc(key)}
-                      for i, (kind, key) in enumerate(self.lines)],
-            "incidences": [list(x) for x in self.incidences],
-        }
-
 
 def build_hexagon(surface, omega_keys) -> IncidenceGeometry:
     """Assemble the point-line geometry for a candidate subgenerator set."""
@@ -117,7 +105,7 @@ def build_hexagon(surface, omega_keys) -> IncidenceGeometry:
 
 
 @dataclass
-class PolygonCertificate:
+class PolygonCertificate(Record):
     """Exact incidence-graph analytics against the 2n-gon target."""
 
     target_n: int
@@ -132,20 +120,32 @@ class PolygonCertificate:
     failures: tuple
     witness_components: tuple = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "target_n": self.target_n,
-            "num_points": self.num_points,
-            "num_lines": self.num_lines,
-            "connected": self.connected,
-            "biregular": self.biregular,
-            "order": list(self.order) if self.order else None,
-            "girth": self.girth,
-            "diameter": self.diameter,
-            "passed": self.passed,
-            "failures": list(self.failures),
-            "witness_components": [list(c) for c in self.witness_components],
-        }
+
+def _bfs(adj, source):
+    """Breadth-first search from `source`: (dist, parent, order, closing).
+
+    `dist` is -1 on unreached vertices and `order` lists the reached ones
+    in visiting order.  `closing` is the first (length, u, w) minimising
+    dist[u]+dist[w]+1 over the non-tree edges u-w met, or None for a tree.
+    """
+    n = len(adj)
+    dist = [-1] * n
+    parent = [-1] * n
+    dist[source] = 0
+    order = [source]
+    closing = None
+    for u in order:
+        du = dist[u]
+        for w in adj[u]:
+            if dist[w] < 0:
+                dist[w] = du + 1
+                parent[w] = u
+                order.append(w)
+            elif parent[u] != w:
+                cand = du + dist[w] + 1
+                if closing is None or cand < closing[0]:
+                    closing = (cand, u, w)
+    return dist, parent, order, closing
 
 
 def _bfs_analytics(adj):
@@ -164,31 +164,14 @@ def _bfs_analytics(adj):
     diameter = 0
     unreached_witness = None
     for s in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[s] = 0
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            du = dist[u]
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = du + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w:
-                    cand = du + dist[w] + 1
-                    if best_girth is None or cand < best_girth:
-                        best_girth = cand
-                        girth_source = s
-        if s == 0 and len(queue) < n:
-            unreached = sorted(set(range(n)) - set(queue))
-            unreached_witness = (sorted(queue)[:5], unreached[:5])
-        ecc = max(dist)
-        if ecc > diameter:
-            diameter = ecc
+        dist, _, order, closing = _bfs(adj, s)
+        if closing is not None and (best_girth is None
+                                    or closing[0] < best_girth):
+            best_girth, girth_source = closing[0], s
+        if s == 0 and len(order) < n:
+            unreached = sorted(set(range(n)) - set(order))
+            unreached_witness = (sorted(order)[:5], unreached[:5])
+        diameter = max(diameter, max(dist))
     connected = unreached_witness is None
     return best_girth, (diameter if connected else None), connected, \
         girth_source, unreached_witness
@@ -196,28 +179,10 @@ def _bfs_analytics(adj):
 
 def _shortest_cycle_from(adj, source):
     """A simple shortest cycle through `source`'s BFS tree, as vertex list."""
-    n = len(adj)
-    dist = [-1] * n
-    parent = [-1] * n
-    dist[source] = 0
-    queue = [source]
-    head = 0
-    best = None
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                parent[w] = u
-                queue.append(w)
-            elif parent[u] != w:
-                cand = dist[u] + dist[w] + 1
-                if best is None or cand < best[0]:
-                    best = (cand, u, w)
-    if best is None:
+    _, parent, _, closing = _bfs(adj, source)
+    if closing is None:
         return None
-    _, u, w = best
+    _, u, w = closing
 
     def path(v):
         out = [v]

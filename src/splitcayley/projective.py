@@ -70,10 +70,6 @@ def rref(f, rows) -> Basis:
     return tuple(tuple(r) for r in mat[:pivot_row] if any(r))
 
 
-def rank(f, rows) -> int:
-    return len(rref(f, rows))
-
-
 def span(f, points) -> Basis:
     """Smallest subspace containing the given points, as an echelon basis."""
     if not points:

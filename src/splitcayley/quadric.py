@@ -31,6 +31,7 @@ from dataclasses import dataclass, field as dfield
 
 from . import hexagon as hx
 from . import unitary as un
+from .galois import Record
 from .projective import (
     enumerate_points,
     normalize_point,
@@ -68,23 +69,14 @@ class FieldReduction:
         return tuple(f.from_pair(vec8[2 * i], vec8[2 * i + 1]) for i in range(4))
 
     def quad(self, vec8):
-        """Q(x) = sum N(x_i): the hyperbolic form on GF(q)^8."""
-        f = self.field
+        """Q(x) = <x, x> = sum N(x_i): the hyperbolic form on GF(q)^8."""
         x = self.from8(vec8)
-        acc = 0
-        for c in x:
-            acc = f.add(acc, f.norm(c))
-        return acc
+        return self.field.herm(x, x)
 
     def bil(self, u8, v8):
         """Polarisation B(u, v) = Q(u+v) - Q(u) - Q(v) = T(<x, y>)."""
         f = self.field
-        x = self.from8(u8)
-        y = self.from8(v8)
-        acc = 0
-        for a, b in zip(x, y):
-            acc = f.add(acc, f.mul(a, f.conj(b)))
-        return f.trace(acc)
+        return f.trace(f.herm(self.from8(u8), self.from8(v8)))
 
     def reduce_point(self, p4):
         """The spread line of PG(7,q) carried by a point of PG(3,q^2)."""
@@ -303,15 +295,12 @@ class ParabolicQuadric:
 
 
 @dataclass
-class DictionaryReport:
+class DictionaryReport(Record):
     rows: list = dfield(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return all(r["ok"] for r in self.rows)
-
-    def to_dict(self) -> dict:
-        return {"rows": self.rows, "ok": self.ok}
 
 
 FAMILY_SPREAD = "hermitian_spread"
@@ -652,7 +641,7 @@ class BcsMap:
 
 
 @dataclass
-class SpreadReport:
+class SpreadReport(Record):
     size: int
     size_ok: bool
     disjoint: bool
@@ -665,15 +654,6 @@ class SpreadReport:
     def ok(self) -> bool:
         return (self.size_ok and self.disjoint and self.covering
                 and not self.closure_violations)
-
-    def to_dict(self) -> dict:
-        return {
-            "size": self.size, "size_ok": self.size_ok,
-            "disjoint": self.disjoint, "covering": self.covering,
-            "pairs_checked": self.pairs_checked,
-            "closure_violations": self.closure_violations,
-            "witness": self.witness, "ok": self.ok,
-        }
 
 
 def regulus(quadric: ParabolicQuadric, lid_a: int, lid_b: int):
@@ -759,8 +739,10 @@ def regulus_swap_corruption(quadric, spread_ids, seed: int):
 
 
 @dataclass
-class LineSetCensus:
+class LineSetCensus(Record):
     """Plane counts by the number of contained lines of the given set."""
+
+    json_names = {"n_q1": "n_q_plus_1"}
 
     n0: int
     n1: int
@@ -768,27 +750,14 @@ class LineSetCensus:
     n_full: int
     total_planes: int
 
-    def to_dict(self) -> dict:
-        return {"n0": self.n0, "n1": self.n1, "n_q_plus_1": self.n_q1,
-                "n_full": self.n_full, "total_planes": self.total_planes}
-
 
 @dataclass
-class ClassifyResult:
+class ClassifyResult(Record):
     verdict: str  # "spread_union" | "hexagon" | "reject"
     census: LineSetCensus | None
     violations: list = dfield(default_factory=list)
     pencil_counts: dict = dfield(default_factory=dict)  # lines/point -> #points
     pencil_span_dims: dict = dfield(default_factory=dict)  # span dim -> #points
-
-    def to_dict(self) -> dict:
-        return {"verdict": self.verdict,
-                "census": self.census.to_dict() if self.census else None,
-                "violations": self.violations,
-                "pencil_counts": {str(k): v for k, v in
-                                  sorted(self.pencil_counts.items())},
-                "pencil_span_dims": {str(k): v for k, v in
-                                     sorted(self.pencil_span_dims.items())}}
 
 
 def classify_line_set(quadric: ParabolicQuadric, line_ids) -> ClassifyResult:
@@ -867,7 +836,9 @@ def concurrency_components(quadric: ParabolicQuadric, line_ids) -> int:
 
 
 @dataclass
-class FamilyCensus:
+class FamilyCensus(Record):
+    json_names = {"name": "family", "ok": "match"}
+
     name: str
     size: int
     expected: int
@@ -875,10 +846,6 @@ class FamilyCensus:
     @property
     def ok(self) -> bool:
         return self.size == self.expected
-
-    def to_dict(self) -> dict:
-        return {"family": self.name, "size": self.size,
-                "expected": self.expected, "match": self.ok}
 
 
 def line_orbit_census(bcs: BcsMap, action=None):
@@ -919,30 +886,18 @@ def line_orbit_census(bcs: BcsMap, action=None):
 
 
 @dataclass
-class StageResult:
+class StageResult(Record):
     name: str
     passed: bool
     details: dict = dfield(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "details": self.details}
-
 
 @dataclass
-class PipelineCertificate:
+class PipelineCertificate(Record):
     stages: list
     passed: bool
     recovered_class_index: int | None = None
     recovered_class: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "stages": [s.to_dict() for s in self.stages],
-            "passed": self.passed,
-            "recovered_class_index": self.recovered_class_index,
-            "recovered_class": self.recovered_class,
-        }
 
 
 def certify_split_cayley(bcs: BcsMap, line_ids, action=None) -> PipelineCertificate:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dfield
 
+from .galois import Record
 from .projective import normalize_point, rref
 from .hermitian import HermitianSurface
 
@@ -75,20 +76,13 @@ def vec_mat(f, v, a):
         for j in range(3))
 
 
-def herm3(f, x, y):
-    acc = 0
-    for a, b in zip(x, y):
-        acc = f.add(acc, f.mul(a, f.conj(b)))
-    return acc
-
-
 def is_unitary(f, a) -> bool:
     return mat_mul(f, a, mat_conj_transpose(f, a)) == mat_identity()
 
 
 def reflection(f, v, lam):
     """Unitary reflection r(v, lam); v non-isotropic, N(lam) = 1, det = lam."""
-    vv = herm3(f, v, v)
+    vv = f.herm(v, v)
     if vv == 0:
         raise ValueError("reflection axis must be non-isotropic")
     if f.norm(lam) != 1:
@@ -174,7 +168,7 @@ class UnitaryAction:
         axes = []
         for pattern in _AXIS_PATTERNS:
             v = tuple({"g": f.g, "gg": f.mul(f.g, f.g)}.get(c, c) for c in pattern)
-            if herm3(f, v, v) != 0:
+            if f.herm(v, v) != 0:
                 axes.append(v)
             if len(axes) == 6:
                 break
@@ -321,21 +315,6 @@ class UnitaryAction:
         assert all(len(o) == q * (q + 1) * (q ** 3 + 1) for o in orbits)
         return orbits
 
-    def classes_to_json(self) -> dict:
-        f = self.field
-        return {
-            "q": self.surface.q,
-            "classes": [
-                {
-                    "mu_index": i,
-                    "mu": mu,
-                    "size": len(self.omega(mu)),
-                    "element_keys": [list(k) for k in self.omega(mu)],
-                }
-                for i, mu in enumerate(f.norm_one_subgroup())
-            ],
-        }
-
     # -- negative controls --------------------------------------------------
 
     def mixed_class_omega(self, seed: int) -> tuple:
@@ -386,13 +365,13 @@ class UnitaryAction:
         f, q = self.field, self.surface.q
         vectors = [(a, b, c) for a in f.elements for b in f.elements
                    for c in f.elements]
-        units = [v for v in vectors if herm3(f, v, v) == 1]
+        units = [v for v in vectors if f.herm(v, v) == 1]
         group = []
         for r0 in units:
-            partners = [v for v in units if herm3(f, v, r0) == 0]
+            partners = [v for v in units if f.herm(v, r0) == 0]
             for r1 in partners:
                 for r2 in partners:
-                    if herm3(f, r2, r1) == 0:
+                    if f.herm(r2, r1) == 0:
                         group.append((r0, r1, r2))
         expected = q ** 3 * (q + 1) * (q * q - 1) * (q ** 3 + 1)
         assert len(group) == expected
@@ -400,21 +379,13 @@ class UnitaryAction:
 
 
 @dataclass
-class StabilizerReport:
+class StabilizerReport(Record):
     """Exhaustive stabiliser of the base (Gram matrix, generator) pair."""
 
     size: int
     all_special: bool
     shape_ok: bool
     matrices: list
-
-    def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "all_special": self.all_special,
-            "shape_ok": self.shape_ok,
-            "matrices": [[list(row) for row in m] for m in self.matrices],
-        }
 
 
 def pair_stabilizer_report(action: UnitaryAction) -> StabilizerReport:
@@ -492,7 +463,7 @@ def pair_stabilizer_report(action: UnitaryAction) -> StabilizerReport:
 
 
 @dataclass
-class CoverReport:
+class CoverReport(Record):
     """Pencil covering and unique-join checks for a candidate class."""
 
     pencil_checked: int = 0
@@ -503,15 +474,6 @@ class CoverReport:
     @property
     def ok(self) -> bool:
         return not self.pencil_violations and not self.join_violations
-
-    def to_dict(self) -> dict:
-        return {
-            "pencil_checked": self.pencil_checked,
-            "join_checked": self.join_checked,
-            "pencil_violations": [list(v) for v in self.pencil_violations],
-            "join_violations": [list(v) for v in self.join_violations],
-            "ok": self.ok,
-        }
 
 
 def verify_class_covering(surface: HermitianSurface, omega_keys) -> CoverReport:
@@ -572,7 +534,7 @@ def verify_class_covering(surface: HermitianSurface, omega_keys) -> CoverReport:
 
 
 @dataclass
-class PairReport:
+class PairReport(Record):
     """Same-norm <=> fully-contained-subplane biconditional over pairs."""
 
     checked: int = 0
@@ -583,15 +545,6 @@ class PairReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "same_norm_contained": self.same_norm_contained,
-            "diff_norm_not_contained": self.diff_norm_not_contained,
-            "violations": self.violations,
-            "ok": self.ok,
-        }
 
 
 def qualifying_pairs(action: UnitaryAction):

@@ -169,18 +169,6 @@ def test_disconnected_reported_with_witness():
     assert cert.diameter is None
 
 
-def test_geometry_json_shape(hexagon2):
-    payload = hexagon2.to_json_dict()
-    assert payload["q"] == 2
-    assert len(payload["points"]) == 63
-    assert len(payload["lines"]) == 63
-    assert len(payload["incidences"]) == 63 * 3
-    assert {p["type"] for p in payload["points"]} == {"generator",
-                                                      "affine_point"}
-    assert {l["type"] for l in payload["lines"]} == {"curve_point",
-                                                     "subgenerator"}
-
-
 def test_certificate_dict_shape(hexagon2):
     cert = certify_generalized_polygon(hexagon2, 6, (63, 63))
     d = cert.to_dict()

@@ -240,9 +240,3 @@ def test_mixed_class_omega_deterministic_and_mixed(action2):
     norms = {action2.norm_of(k) for k in m1}
     assert len(norms) > 1
 
-
-def test_classes_json_shape(action2):
-    payload = action2.classes_to_json()
-    assert payload["q"] == 2
-    assert len(payload["classes"]) == 3
-    assert all(c["size"] == 54 for c in payload["classes"])
