@@ -227,7 +227,8 @@ class QuadraticField:
         group = [1]
         for _ in range(q + 1):
             group.append(self.mul(group[-1], h))
-        assert group.pop() == 1  # h has order q+1
+        if group.pop() != 1:
+            raise FieldError(f"g^(q-1) does not have order q+1 = {q + 1}")
         self.norm_one = tuple(group)
 
         # {1, g} is a GF(q)-basis of GF(q^2); tabulate both directions.

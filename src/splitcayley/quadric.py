@@ -600,29 +600,31 @@ class BcsMap:
         try:
             if payload["form"] != "parabolic-6":
                 raise InterchangeError(f"unsupported form {payload['form']!r}")
-            if payload["q"] != f.q:
+            if type(payload["q"]) is not int or payload["q"] != f.q:
                 raise InterchangeError(
-                    f"payload is for q={payload['q']}, expected q={f.q}")
+                    f"payload is for q={payload['q']!r}, expected q={f.q}")
             if payload["field"] != f.spec.to_dict():
                 raise InterchangeError("field specification mismatch")
-            raw_lines = payload["lines"]
+            raw_lines = list(payload["lines"])
             hyper = payload["hyperplane"]
         except (KeyError, TypeError) as exc:
             raise InterchangeError(f"malformed payload: {exc}") from exc
 
         def dec(coords):
-            if len(coords) != 8:
+            if not isinstance(coords, (list, tuple)) or len(coords) != 8:
                 raise InterchangeError("coordinate vectors must have length 8")
-            try:
-                return tuple(f.sub_element(c) for c in coords)
-            except (IndexError, TypeError) as exc:
-                raise InterchangeError(f"bad coordinate: {exc}") from exc
+            for c in coords:
+                if type(c) is not int or not 0 <= c < f.q:
+                    raise InterchangeError(
+                        f"bad coordinate {c!r}: expected an integer "
+                        f"0..{f.q - 1}")
+            return tuple(f.sub_element(c) for c in coords)
 
         if tuple(dec(hyper)) != quadric.functional:
             raise InterchangeError("hyperplane does not match the canonical slice")
         out = []
         for pair in raw_lines:
-            if len(pair) != 2:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise InterchangeError("each line needs exactly two vectors")
             basis = rref(f, [dec(pair[0]), dec(pair[1])])
             if len(basis) != 2:

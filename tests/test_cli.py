@@ -165,6 +165,37 @@ def test_certify_parse_error_distinct_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _first_one_to(value):
+    def mutate(payload):
+        line = next(l for l in payload["lines"] if 1 in l[0])
+        line[0][line[0].index(1)] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, reason", [
+    (lambda p: p.update(q="2"), "payload is for q='2'"),
+    (lambda p: p.update(q=2.0), "payload is for q=2.0"),
+    (_first_one_to(-1), "bad coordinate -1"),
+    (_first_one_to(True), "bad coordinate True"),
+    (_first_one_to(2), "bad coordinate 2"),
+    (lambda p: p.update(lines=5), "malformed payload"),
+    (lambda p: p["lines"].append(7), "each line needs exactly two vectors"),
+], ids=["q_string", "q_float", "coordinate_negative", "coordinate_bool",
+        "coordinate_too_large", "lines_not_a_list", "line_not_a_pair"])
+def test_certify_rejects_ill_typed_payload(tmp_path, capsys, mutate, reason):
+    lines = tmp_path / "lines.json"
+    assert main(["hexagon", "--q", "2",
+                 "--export-lines", str(lines)]) == EXIT_PASS
+    payload = load(lines)
+    mutate(payload)
+    lines.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["certify", str(lines)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert reason in captured.err
+
+
 def test_modulus_override_recorded(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["hexagon", "--q", "3", "--modulus", "2,2,1",
