@@ -291,7 +291,7 @@ class QuadraticField:
         return self._trace[x]
 
     def herm(self, x, y):
-        """The Hermitian form <x, y> = sum x_i * y_i^q, vectors of any length."""
+        """Hermitian form <x, y> = sum x_i * y_i^q, any vector length."""
         add, mul, frob = self._add, self.mul, self._frob
         acc = 0
         for a, b in zip(x, y):

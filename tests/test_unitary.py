@@ -239,4 +239,3 @@ def test_mixed_class_omega_deterministic_and_mixed(action2):
     assert len(m1) == 54
     norms = {action2.norm_of(k) for k in m1}
     assert len(norms) > 1
-
