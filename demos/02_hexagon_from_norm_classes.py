@@ -4,7 +4,7 @@
 The special unitary group splits the Baer subgenerators with a curve point
 into q+1 norm classes; any one class, together with the curve points, is
 the line set of a generalised hexagon of order (q,q) on the generators and
-affine points.  The certificate is exact breadth-first search: girth 12,
+affine points.  The certificate is exact ball counting: girth 12,
 diameter 6, biregular of degree q+1.  A seeded per-generator mix of the
 classes destroys the property, and the certificate then produces an
 explicit short cycle as the witness.

@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--q", type=int, default=2, choices=SUPPORTED_Q,
-                       help="subfield order (recommended ceiling: 4)")
+                       help="subfield order (hexagon: seconds up to 5; "
+                            "census and certify: recommended ceiling 3)")
         p.add_argument("--modulus", type=_parse_modulus, default=None,
                        help="modulus override, comma-separated coefficients "
                             "with the constant term first")
@@ -188,7 +189,7 @@ def cmd_hexagon(args) -> int:
     report["certificate"] = cert.to_dict()
     if not cert.passed and cert.girth is not None and cert.girth < 12:
         report["witness_cycle"] = [list(map(str, c)) for c in
-                                   hx.shortest_cycle_witness(geom)]
+                                   hx.shortest_cycle_witness(geom, cert)]
 
     control_ok = True
     if not corrupted:
@@ -304,6 +305,9 @@ def cmd_certify(args) -> int:
     if declared_q in SUPPORTED_Q and declared_q != args.q:
         args.q = declared_q  # a supported payload q wins; the parser
         # re-checks payload-vs-field consistency either way
+    # reject what the field alone can reject before building the stack
+    qd.decode_line_set(payload,
+                       QuadraticField.for_q(args.q, modulus=args.modulus))
     field, surface, action = _build_stack(args)
     bcs = qd.BcsMap(surface)
     timer.mark("build")

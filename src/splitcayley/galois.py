@@ -97,16 +97,18 @@ def _is_irreducible(modulus, p) -> bool:
 class Record:
     """Mixin giving a dataclass its JSON-ready `to_dict`.
 
-    The dict holds every dataclass field and then every `@property` of the
-    class, under its attribute name or under the key `json_names` maps it
-    to.  Nested records become dicts, tuples become lists and dict keys
-    become strings, so `json.dumps` of the result is the report format.
+    The dict holds every dataclass field, except those whose metadata sets
+    `report` to False, and then every `@property` of the class, under its
+    attribute name or under the key `json_names` maps it to.  Nested
+    records become dicts, tuples become lists and dict keys become
+    strings, so `json.dumps` of the result is the report format.
     """
 
     json_names = {}
 
     def to_dict(self) -> dict:
-        names = [f.name for f in dataclasses.fields(self)]
+        names = [f.name for f in dataclasses.fields(self)
+                 if f.metadata.get("report", True)]
         names += [name for name, attr in vars(type(self)).items()
                   if isinstance(attr, property)]
         return {self.json_names.get(name, name): _plain(getattr(self, name))

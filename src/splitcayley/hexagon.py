@@ -9,9 +9,11 @@ class the result is a generalised hexagon of order (q,q): the bipartite
 incidence graph is connected, biregular of degree q+1, has girth exactly
 12 and diameter exactly 6, with (q^6-1)/(q-1) points and as many lines.
 
-Certification is by exact breadth-first search from every vertex: girth
-and diameter come with reconstructible witnesses, so a failing input
-yields an explicit short cycle rather than a bare flag.
+Certification grows the ball around every vertex at once, each ball an
+int bitset: girth comes from the first sphere that falls short of its
+tree count, diameter from the first radius at which every ball is full.
+A failing input yields an explicit short cycle, rebuilt by one
+breadth-first search from a vertex on it, rather than a bare flag.
 """
 
 from __future__ import annotations
@@ -36,7 +38,10 @@ class IncidenceGeometry:
     meta: dict = dfield(default_factory=dict)
 
     def __post_init__(self):
-        assert len(set(self.incidences)) == len(self.incidences)
+        # a repeated incidence would be a double edge, miscounting the
+        # degrees and the tree counts the certificate rests on
+        if len(set(self.incidences)) != len(self.incidences):
+            raise ValueError("repeated incidence")
         self.point_lines = [[] for _ in self.points]
         self.line_points = [[] for _ in self.lines]
         for pi, li in self.incidences:
@@ -119,6 +124,10 @@ class PolygonCertificate(Record):
     passed: bool
     failures: tuple
     witness_components: tuple = ()
+    # a vertex on a shortest cycle, for `shortest_cycle_witness`; an
+    # internal index, so it stays out of the report
+    girth_source: int | None = dfield(default=None,
+                                      metadata={"report": False})
 
 
 def _bfs(adj, source):
@@ -148,33 +157,62 @@ def _bfs(adj, source):
     return dist, parent, order, closing
 
 
-def _bfs_analytics(adj):
-    """(girth, diameter, connected, girth witness source, component sample).
+def _ball_analytics(adj):
+    """(girth, diameter, connected, girth source, component sample).
 
-    One breadth-first search per vertex.  The girth is the minimum over
-    all sources and all non-tree edges of dist[u]+dist[w]+1; scanning
-    every source makes this exact (each candidate bounds a genuine cycle
-    from below by trimming at the lowest common ancestor, and a shortest
-    cycle is hit with equality from any of its own vertices), and the
-    minimising source admits a simple cycle of exactly that length.
+    Grows the balls of all vertices together, each an int bitset:
+    ball_r(v) is ball_{r-1}(v) OR ball_{r-1}(u) over the neighbours u of v.
+    The graph must be bipartite, as every incidence graph is.
+
+    Girth: while ball_{r-1}(v) spans a tree, each vertex u of the sphere
+    S_{r-1}(v) has one parent and deg(u)-1 children, none shared, so
+    |S_r(v)| = sum over u in S_{r-1}(v) of (deg u - 1) for r >= 2.  The
+    first sphere to fall short has two parents sharing a child, closing a
+    cycle of length 2r through v; so the girth is 2j for the first radius
+    j with a shortfall anywhere, and the first vertex short at j lies on a
+    shortest cycle.  The count is taken per degree, one vertex mask each,
+    so no regularity is assumed.  A bipartite graph's girth is at most
+    twice its diameter, so it is known by the time every ball is full.
+
+    Diameter: the first radius at which every ball is full.  A round that
+    changes no ball leaves the graph disconnected; the sample is then the
+    first five vertices in and out of the component of vertex 0.
     """
     n = len(adj)
-    best_girth = None
-    girth_source = None
-    diameter = 0
-    unreached_witness = None
-    for s in range(n):
-        dist, _, order, closing = _bfs(adj, s)
-        if closing is not None and (best_girth is None
-                                    or closing[0] < best_girth):
-            best_girth, girth_source = closing[0], s
-        if s == 0 and len(order) < n:
-            unreached = sorted(set(range(n)) - set(order))
-            unreached_witness = (sorted(order)[:5], unreached[:5])
-        diameter = max(diameter, max(dist))
-    connected = unreached_witness is None
-    return best_girth, (diameter if connected else None), connected, \
-        girth_source, unreached_witness
+    full = (1 << n) - 1
+    masks = {}
+    for v, nbrs in enumerate(adj):
+        if len(nbrs) > 1:
+            masks[len(nbrs) - 1] = masks.get(len(nbrs) - 1, 0) | 1 << v
+    weights = sorted(masks.items())
+    balls = [1 << v for v in range(n)]
+    # the tree count of each vertex's next sphere; S_1(v) holds deg v
+    # vertices, as incidences never repeat
+    tree = [len(nbrs) for nbrs in adj]
+    girth = source = None
+    radius = 0
+    while any(ball != full for ball in balls):
+        grown = []
+        for ball, nbrs in zip(balls, adj):
+            for u in nbrs:
+                ball |= balls[u]
+            grown.append(ball)
+        if grown == balls:
+            reached = balls[0]
+            inside = [v for v in range(n) if reached >> v & 1]
+            outside = [v for v in range(n) if not reached >> v & 1]
+            return girth, None, False, source, (inside[:5], outside[:5])
+        radius += 1
+        if girth is None:
+            for v, (new, old) in enumerate(zip(grown, balls)):
+                sphere = new ^ old
+                if sphere.bit_count() < tree[v]:
+                    girth, source = 2 * radius, v
+                    break
+                tree[v] = sum(w * (sphere & m).bit_count()
+                              for w, m in weights)
+        balls = grown
+    return girth, radius, True, source, None
 
 
 def _shortest_cycle_from(adj, source):
@@ -196,9 +234,11 @@ def _shortest_cycle_from(adj, source):
     while i > 0 and j > 0 and pu[i - 1] == pw[j - 1]:
         i -= 1
         j -= 1
-    assert pu[i] == pw[j]
+    if pu[i] != pw[j]:
+        raise RuntimeError(f"tree paths from {u} and {w} do not meet")
     cycle = pu[:i + 1] + list(reversed(pw[:j]))
-    assert len(cycle) == len(set(cycle))
+    if len(cycle) != len(set(cycle)):
+        raise RuntimeError(f"closed walk {cycle} is not a simple cycle")
     return cycle
 
 
@@ -220,7 +260,7 @@ def certify_generalized_polygon(geom: IncidenceGeometry, n: int,
                         f"line degrees {sorted(l_degs)}")
 
     adj = geom.adjacency()
-    girth, diameter, connected, _, components = _bfs_analytics(adj)
+    girth, diameter, connected, source, components = _ball_analytics(adj)
     if not connected:
         failures.append("incidence graph is disconnected")
     if girth != 2 * n:
@@ -249,17 +289,28 @@ def certify_generalized_polygon(geom: IncidenceGeometry, n: int,
         passed=not failures,
         failures=tuple(failures),
         witness_components=witness_components,
+        girth_source=source,
     )
 
 
-def shortest_cycle_witness(geom: IncidenceGeometry):
-    """An explicit shortest cycle, as alternating element labels, or None."""
+def shortest_cycle_witness(geom: IncidenceGeometry,
+                           cert: PolygonCertificate | None = None):
+    """An explicit shortest cycle, as alternating element labels, or None.
+
+    Given the certificate of `geom`, its girth and girth source are used
+    and the witness costs one breadth-first search; without one the ball
+    pass runs first.
+    """
     adj = geom.adjacency()
-    girth, _, _, source, _ = _bfs_analytics(adj)
+    if cert is None:
+        girth, _, _, source, _ = _ball_analytics(adj)
+    else:
+        girth, source = cert.girth, cert.girth_source
     if girth is None:
         return None
     cycle = _shortest_cycle_from(adj, source)
-    assert cycle is not None and len(cycle) == girth
+    if cycle is None or len(cycle) != girth:
+        raise RuntimeError(f"no {girth}-cycle through vertex {source}")
     return [geom.vertex_label(v) for v in cycle]
 
 
@@ -273,7 +324,7 @@ def ordinary_subpolygon_witness(geom: IncidenceGeometry, k: int):
     if k not in (3, 4, 5):
         raise ValueError("k must be 3, 4 or 5")
     adj = geom.adjacency()
-    girth, _, _, source, _ = _bfs_analytics(adj)
+    girth, _, _, source, _ = _ball_analytics(adj)
     target = 2 * k
     if girth is None or girth > target:
         return None

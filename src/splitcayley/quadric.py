@@ -597,36 +597,12 @@ class BcsMap:
     def parse_line_set(self, payload) -> tuple:
         f = self.field
         quadric = self.quadric
-        try:
-            if payload["form"] != "parabolic-6":
-                raise InterchangeError(f"unsupported form {payload['form']!r}")
-            if type(payload["q"]) is not int or payload["q"] != f.q:
-                raise InterchangeError(
-                    f"payload is for q={payload['q']!r}, expected q={f.q}")
-            if payload["field"] != f.spec.to_dict():
-                raise InterchangeError("field specification mismatch")
-            raw_lines = list(payload["lines"])
-            hyper = payload["hyperplane"]
-        except (KeyError, TypeError) as exc:
-            raise InterchangeError(f"malformed payload: {exc}") from exc
-
-        def dec(coords):
-            if not isinstance(coords, (list, tuple)) or len(coords) != 8:
-                raise InterchangeError("coordinate vectors must have length 8")
-            for c in coords:
-                if type(c) is not int or not 0 <= c < f.q:
-                    raise InterchangeError(
-                        f"bad coordinate {c!r}: expected an integer "
-                        f"0..{f.q - 1}")
-            return tuple(f.sub_element(c) for c in coords)
-
-        if tuple(dec(hyper)) != quadric.functional:
+        hyperplane, pairs = decode_line_set(payload, f)
+        if hyperplane != quadric.functional:
             raise InterchangeError("hyperplane does not match the canonical slice")
         out = []
-        for pair in raw_lines:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise InterchangeError("each line needs exactly two vectors")
-            basis = rref(f, [dec(pair[0]), dec(pair[1])])
+        for pair, vectors in zip(payload["lines"], pairs):
+            basis = rref(f, list(vectors))
             if len(basis) != 2:
                 raise InterchangeError(f"degenerate line {pair}")
             lid = quadric.line_id.get(basis)
@@ -637,6 +613,47 @@ class BcsMap:
         if len(set(out)) != len(out):
             raise InterchangeError("duplicate lines in payload")
         return tuple(sorted(out))
+
+
+def decode_line_set(payload, f) -> tuple:
+    """Check an interchange payload as far as the field alone allows.
+
+    `f` is the payload's field.  Returns the decoded hyperplane and the
+    decoded vector pair of each line.  Raises `InterchangeError` for
+    another form, q or field, a part that is missing or not a JSON array,
+    a vector whose length is not 8 or a coordinate that is not an integer
+    in 0..q-1.
+    """
+    try:
+        if payload["form"] != "parabolic-6":
+            raise InterchangeError(f"unsupported form {payload['form']!r}")
+        if type(payload["q"]) is not int or payload["q"] != f.q:
+            raise InterchangeError(
+                f"payload is for q={payload['q']!r}, expected q={f.q}")
+        if payload["field"] != f.spec.to_dict():
+            raise InterchangeError("field specification mismatch")
+        raw_lines = list(payload["lines"])
+        hyper = payload["hyperplane"]
+    except (KeyError, TypeError) as exc:
+        raise InterchangeError(f"malformed payload: {exc}") from exc
+
+    def dec(coords):
+        if not isinstance(coords, (list, tuple)) or len(coords) != 8:
+            raise InterchangeError("coordinate vectors must have length 8")
+        for c in coords:
+            if type(c) is not int or not 0 <= c < f.q:
+                raise InterchangeError(
+                    f"bad coordinate {c!r}: expected an integer "
+                    f"0..{f.q - 1}")
+        return tuple(f.sub_element(c) for c in coords)
+
+    hyperplane = dec(hyper)
+    pairs = []
+    for pair in raw_lines:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise InterchangeError("each line needs exactly two vectors")
+        pairs.append((dec(pair[0]), dec(pair[1])))
+    return hyperplane, pairs
 
 
 # -- spreads and reguli ------------------------------------------------------
@@ -996,7 +1013,7 @@ def certify_split_cayley(bcs: BcsMap, line_ids, action=None) -> PipelineCertific
     cert = hx.certify_generalized_polygon(geom, 6, (expected, expected))
     details = {"certificate": cert.to_dict()}
     if not cert.passed and cert.girth is not None and cert.girth < 12:
-        details["witness_cycle"] = hx.shortest_cycle_witness(geom)
+        details["witness_cycle"] = hx.shortest_cycle_witness(geom, cert)
     stages.append(StageResult("hexagon_certificate", cert.passed, details))
     if not cert.passed:
         return fail()

@@ -6,10 +6,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the criterion
 lines.
 """
 
+import json
 import time
 
 import pytest
 
+from splitcayley.cli import main
 from splitcayley.galois import QuadraticField
 from splitcayley.hermitian import HermitianSurface
 from splitcayley.hexagon import (
@@ -241,3 +243,19 @@ def test_full_pipeline_round_trip(stacks, bcs_maps):
         cert = certify_split_cayley(bcs, lids, action)
         assert cert.passed
         assert cert.recovered_class_index == index
+
+
+def test_hexagon_q5_cli_within_budget(capsys):
+    # q = 5: 7812 vertices, the class certificate and the negative control
+    start = time.perf_counter()
+    code = main(["hexagon", "--q", "5"])
+    elapsed = time.perf_counter() - start
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["passed"] is True
+    cert = out["certificate"]
+    assert (cert["num_points"], cert["num_lines"]) == (3906, 3906)
+    assert (cert["girth"], cert["diameter"]) == (12, 6)
+    assert out["negative_control"]["failed_as_expected"] is True
+    assert elapsed < 10.0, f"hexagon --q 5 took {elapsed:.2f}s"
+    report("q5", f"hexagon --q 5: 3906/3906, girth 12, diameter 6, negative "
+                 f"control rejected, {elapsed:.2f}s<10s")

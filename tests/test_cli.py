@@ -1,9 +1,11 @@
 """CLI contract: exit codes, determinism, formats, round trips."""
 
 import json
+import time
 
 import pytest
 
+from splitcayley import hexagon as hx
 from splitcayley.cli import (
     EXIT_CERTIFICATION_FAILURE,
     EXIT_INPUT_ERROR,
@@ -61,6 +63,29 @@ def test_hexagon_corrupt_seed_fails_with_witness(tmp_path, capsys):
           "--corrupt-seed", "7", "--out", str(out2)])
     capsys.readouterr()
     assert without_timings(load(out2)) == without_timings(report)
+
+
+def test_failing_certificate_witness_costs_one_bfs(monkeypatch, capsys):
+    # the witness starts from the certificate's girth source: one ball
+    # pass and one breadth-first search, not a second all-vertex pass
+    calls = {"_ball_analytics": 0, "_bfs": 0}
+
+    def counted(name):
+        inner = getattr(hx, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hx, name, counted(name))
+    code = main(["hexagon", "--q", "3", "--corrupt-seed", "7"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CERTIFICATION_FAILURE
+    assert len(report["witness_cycle"]) == report["certificate"]["girth"]
+    assert "girth_source" not in report["certificate"]
+    assert calls == {"_ball_analytics": 1, "_bfs": 1}
 
 
 def test_invalid_inputs_exit_2(capsys, tmp_path):
@@ -194,6 +219,23 @@ def test_certify_rejects_ill_typed_payload(tmp_path, capsys, mutate, reason):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert reason in captured.err
+
+
+def test_certify_rejects_bad_coordinate_before_building(tmp_path, capsys,
+                                                        bcs3):
+    # the field alone rejects the payload, so no q=3 stack is built
+    payload = bcs3.export_line_set(bcs3.spread_line_ids)
+    _first_one_to(-1)(payload)
+    lines = tmp_path / "lines.json"
+    lines.write_text(json.dumps(payload))
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = main(["certify", str(lines)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.err == "error: bad coordinate -1: expected an integer 0..2\n"
+    assert elapsed < 0.5, f"rejected after {elapsed:.2f}s"
 
 
 def test_modulus_override_recorded(tmp_path, capsys):

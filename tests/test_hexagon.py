@@ -4,6 +4,9 @@ import pytest
 
 from splitcayley.hexagon import (
     IncidenceGeometry,
+    _ball_analytics,
+    _bfs,
+    _shortest_cycle_from,
     build_hexagon,
     certify_generalized_polygon,
     ordinary_subpolygon_witness,
@@ -31,6 +34,71 @@ def k33():
     lines = tuple(("l", i) for i in range(3))
     inc = tuple((p, l) for p in range(3) for l in range(3))
     return IncidenceGeometry(points, lines, inc)
+
+
+def chorded_8_cycle():
+    # the 8-cycle p0 l1 p1 l2 p2 l3 p3 l0 with the chord p0-l2: girth 4
+    points = tuple(("p", i) for i in range(4))
+    lines = tuple(("l", i) for i in range(4))
+    inc = [(i, i) for i in range(4)] + [(i, (i + 1) % 4) for i in range(4)]
+    inc += [(0, 2)]
+    return IncidenceGeometry(points, lines, tuple(inc))
+
+
+def two_edges():
+    points = (("p", 0), ("p", 1))
+    lines = (("l", 0), ("l", 1))
+    return IncidenceGeometry(points, lines, ((0, 0), (1, 1)))
+
+
+def k33_and_an_edge():
+    # disconnected, with a 4-cycle in the first component
+    geom = k33()
+    return IncidenceGeometry(geom.points + (("p", 3),),
+                             geom.lines + (("l", 3),),
+                             geom.incidences + ((3, 3),))
+
+
+def heawood():
+    # PG(2,2): lines {i, i+1, i+3} mod 7; a generalised triangle
+    points = tuple(("p", i) for i in range(7))
+    lines = tuple(("l", i) for i in range(7))
+    inc = tuple((j % 7, i) for i in range(7) for j in (i, i + 1, i + 3))
+    return IncidenceGeometry(points, lines, inc)
+
+
+def with_pendant_line(geom):
+    # one more line on point 0 alone: degrees 1 and q+2 join q+1
+    return IncidenceGeometry(
+        geom.points, geom.lines + (("pendant", 0),),
+        geom.incidences + ((0, len(geom.lines)),))
+
+
+def bfs_oracle(adj):
+    """(girth, diameter, connected, girth source, component sample).
+
+    The all-source reference: one breadth-first search per vertex.  The
+    girth is the least dist[u]+dist[w]+1 over every source and every
+    non-tree edge u-w; the first source reaching it lies on a shortest
+    cycle.
+    """
+    n = len(adj)
+    best_girth = None
+    girth_source = None
+    diameter = 0
+    unreached_witness = None
+    for s in range(n):
+        dist, _, order, closing = _bfs(adj, s)
+        if closing is not None and (best_girth is None
+                                    or closing[0] < best_girth):
+            best_girth, girth_source = closing[0], s
+        if s == 0 and len(order) < n:
+            unreached = sorted(set(range(n)) - set(order))
+            unreached_witness = (sorted(order)[:5], unreached[:5])
+        diameter = max(diameter, max(dist))
+    connected = unreached_witness is None
+    return best_girth, (diameter if connected else None), connected, \
+        girth_source, unreached_witness
 
 
 def test_hexagon_counts(hexagon2, hexagon3):
@@ -144,13 +212,9 @@ def test_subpolygon_witness_found_for_mixed(mixed2):
 
 
 def test_exact_length_dfs_branch():
-    # hexagonal prism-ish bipartite graph: girth 4 but an 8-cycle exists,
-    # so the k=4 witness must come from the depth-bounded search
-    points = tuple(("p", i) for i in range(4))
-    lines = tuple(("l", i) for i in range(4))
-    inc = [(i, i) for i in range(4)] + [(i, (i + 1) % 4) for i in range(4)]
-    inc += [(0, 2)]  # chord creating a 4-cycle
-    geom = IncidenceGeometry(points, lines, tuple(inc))
+    # girth 4 but an 8-cycle exists, so the k=4 witness must come from
+    # the depth-bounded search
+    geom = chorded_8_cycle()
     cert = certify_generalized_polygon(geom, 6)
     assert cert.girth == 4
     cycle = ordinary_subpolygon_witness(geom, 4)
@@ -159,9 +223,7 @@ def test_exact_length_dfs_branch():
 
 
 def test_disconnected_reported_with_witness():
-    points = (("p", 0), ("p", 1))
-    lines = (("l", 0), ("l", 1))
-    geom = IncidenceGeometry(points, lines, ((0, 0), (1, 1)))
+    geom = two_edges()
     cert = certify_generalized_polygon(geom, 6)
     assert not cert.passed
     assert not cert.connected
@@ -175,3 +237,53 @@ def test_certificate_dict_shape(hexagon2):
     assert d["passed"] is True
     assert d["order"] == [2, 2]
     assert d["girth"] == 12 and d["diameter"] == 6
+
+
+def test_repeated_incidence_rejected():
+    with pytest.raises(ValueError, match="repeated incidence"):
+        IncidenceGeometry((("p", 0),), (("l", 0),), ((0, 0), (0, 0)))
+
+
+def assert_matches_oracle(geom):
+    adj = geom.adjacency()
+    got = _ball_analytics(adj)
+    assert got == bfs_oracle(adj)
+    girth, _, _, source, _ = got
+    if girth is not None:
+        assert len(_shortest_cycle_from(adj, source)) == girth
+    return got
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_ball_pass_matches_bfs_on_classes_and_controls(q, surface2, surface3,
+                                                       action2, action3):
+    surface = surface2 if q == 2 else surface3
+    action = action2 if q == 2 else action3
+    for mu in action.field.norm_one_subgroup():
+        got = assert_matches_oracle(build_hexagon(surface, action.omega(mu)))
+        assert got[:3] == (12, 6, True)
+    for seed in range(10):
+        geom = build_hexagon(surface, action.mixed_class_omega(seed))
+        girth, diameter, connected, _, _ = assert_matches_oracle(geom)
+        assert connected and girth < 12
+
+
+@pytest.mark.parametrize("make, expected", [
+    (k33, (4, 2, True)),
+    (chorded_8_cycle, (4, 4, True)),
+    (two_edges, (None, None, False)),
+    (k33_and_an_edge, (4, None, False)),
+    (heawood, (6, 3, True)),
+], ids=["k33", "chorded_8_cycle", "disconnected", "disconnected_cycle",
+        "heawood"])
+def test_ball_pass_matches_bfs_on_small_graphs(make, expected):
+    got = assert_matches_oracle(make())
+    assert got[:3] == expected
+
+
+def test_ball_pass_matches_bfs_off_biregular(hexagon2):
+    geom = with_pendant_line(hexagon2)
+    got = assert_matches_oracle(geom)
+    assert got[:3] == (12, 7, True)
+    cert = certify_generalized_polygon(geom, 6)
+    assert not cert.biregular and cert.girth == 12 and cert.diameter == 7

@@ -45,3 +45,14 @@ def test_hexagon_and_certify_round_trip_under_O(tmp_path):
     pipeline = json.loads(certify.stdout)["pipeline"]
     assert pipeline["recovered_class_index"] == 0
     assert [s["passed"] for s in pipeline["stages"]] == [True] * 5
+
+
+def test_repeated_incidence_rejected_under_O(tmp_path):
+    code = ("from splitcayley.hexagon import IncidenceGeometry\n"
+            "try:\n"
+            "    IncidenceGeometry(((0,),), ((0,),), ((0, 0), (0, 0)))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    proc = run_optimized(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "repeated incidence"
